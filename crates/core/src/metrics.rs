@@ -58,27 +58,26 @@ impl WorstCaseReport {
     }
 }
 
-/// Draws a random response-time sequence (uniform in
-/// `[rmin_fraction·Rmax, Rmax]`, the paper's methodology) and maps it to
-/// interval indices via the release rule.
+/// Fills `out` with a random response-time sequence (uniform in
+/// `[rmin_fraction·Rmax, Rmax]`, the paper's methodology) mapped to
+/// interval indices via the release rule — one draw per slot, in order.
 ///
 /// # Errors
 ///
 /// Propagates [`IntervalSet::mode_for_response`] failures.
-pub fn random_mode_sequence(
+pub fn random_modes_into(
     hset: &IntervalSet,
-    len: usize,
     rng: &mut SmallRng,
     rmin_fraction: f64,
-) -> Result<Vec<usize>> {
+    out: &mut [usize],
+) -> Result<()> {
     let rmax = hset.rmax();
     let rmin = (rmin_fraction * rmax).max(rmax * 1e-6);
-    (0..len)
-        .map(|_| {
-            let r = rng.gen_range(rmin..=rmax);
-            hset.mode_for_response(r)
-        })
-        .collect()
+    for slot in out {
+        let r = rng.gen_range(rmin..=rmax);
+        *slot = hset.mode_for_response(r)?;
+    }
+    Ok(())
 }
 
 /// Evaluates the worst-case cost `J_w = max_σ Σ‖e[k]‖²` over an ensemble of
@@ -121,13 +120,13 @@ pub fn evaluate_worst_case(
             opts.rmin_fraction
         )));
     }
-    let hset = sim.table().hset().clone();
+    let hset = sim.table().hset();
     // Each sequence draws from its own generator, seeded from the master
     // seed and the sequence index — streams are independent of how the
     // ensemble is scheduled across threads.
-    run_ensemble(sim, scenario, opts, |i| {
+    run_ensemble(sim, scenario, opts, |i, modes| {
         let mut rng = SmallRng::seed_from_u64(derive_seed(opts.seed, i as u64));
-        random_mode_sequence(&hset, opts.jobs_per_sequence, &mut rng, opts.rmin_fraction)
+        random_modes_into(hset, &mut rng, opts.rmin_fraction, modes)
     })
 }
 
@@ -145,19 +144,20 @@ struct EnsembleAcc {
     diverged: usize,
 }
 
-/// Shared ensemble loop behind both worst-case evaluators: draws one mode
-/// sequence per index from `next_modes`, simulates it (cost-only fast
-/// path), and accumulates the report. Chunks of [`ENSEMBLE_CHUNK`]
-/// sequences are evaluated in parallel and combined in chunk order, so the
-/// report is bit-identical for any thread count.
+/// Shared ensemble loop behind both worst-case evaluators: `fill_modes(i,
+/// buf)` writes sequence `i`'s modes into a buffer reused across the
+/// chunk, which is simulated on the cost-only fast path and accumulated
+/// into the report. The scenario is lifted once per ensemble. Chunks of
+/// [`ENSEMBLE_CHUNK`] sequences are evaluated in parallel and combined in
+/// chunk order, so the report is bit-identical for any thread count.
 fn run_ensemble<F>(
     sim: &ClosedLoopSim,
     scenario: &SimScenario,
     opts: &WorstCaseOptions,
-    next_modes: F,
+    fill_modes: F,
 ) -> Result<WorstCaseReport>
 where
-    F: Fn(usize) -> Result<Vec<usize>> + Sync,
+    F: Fn(usize, &mut [usize]) -> Result<()> + Sync,
 {
     if opts.num_sequences == 0 || opts.jobs_per_sequence == 0 {
         return Err(Error::InvalidConfig(
@@ -171,6 +171,7 @@ where
         jobs = opts.jobs_per_sequence,
         chunks = n_chunks
     );
+    let lifted = sim.lift(scenario)?;
     let chunks: Vec<usize> = (0..n_chunks).collect();
     let partials: Vec<EnsembleAcc> = try_parallel_map(&chunks, |_, &c| {
         let lo = c * ENSEMBLE_CHUNK;
@@ -181,9 +182,11 @@ where
             sum: 0.0,
             diverged: 0,
         };
+        let mut modes = vec![0; opts.jobs_per_sequence];
+        let mut buffers = sim.buffers();
         for i in lo..hi {
-            let modes = next_modes(i)?;
-            let summary = sim.run_cost(scenario, &modes)?;
+            fill_modes(i, &mut modes)?;
+            let summary = sim.run_cost(&lifted, &modes, &mut buffers)?;
             if summary.diverged {
                 acc.diverged += 1;
                 acc.worst = f64::INFINITY;
@@ -273,7 +276,7 @@ pub fn evaluate_worst_case_with_model(
     model: &ResponseTimeModel,
     opts: &WorstCaseOptions,
 ) -> Result<WorstCaseReport> {
-    let hset = sim.table().hset().clone();
+    let hset = sim.table().hset();
     if model.rmax() > Span::from_secs_f64(hset.rmax()) + Span::from_nanos(1) {
         return Err(Error::InvalidConfig(format!(
             "workload Rmax {} exceeds the design Rmax {:.6} s",
@@ -281,14 +284,15 @@ pub fn evaluate_worst_case_with_model(
             hset.rmax()
         )));
     }
-    run_ensemble(sim, scenario, opts, |i| {
+    run_ensemble(sim, scenario, opts, |i, modes| {
         // Independent sequences: one generator per sequence, seeded
         // deterministically.
         let mut gen = SequenceGenerator::new(model.clone(), opts.seed.wrapping_add(i as u64))?;
-        gen.sequence(opts.jobs_per_sequence)
-            .iter()
-            .map(|r| hset.mode_for_response(r.as_secs_f64().min(hset.rmax())))
-            .collect()
+        for slot in modes {
+            let r = gen.next_response();
+            *slot = hset.mode_for_response(r.as_secs_f64().min(hset.rmax()))?;
+        }
+        Ok(())
     })
 }
 
@@ -314,6 +318,8 @@ pub fn exhaustive_worst_case(
         )));
     }
     let _sp = overrun_trace::span!("mc.exhaustive", horizon = m, total = total);
+    let lifted = sim.lift(scenario)?;
+    let mut buffers = sim.buffers();
     let mut worst = 0.0_f64;
     let mut modes = vec![0usize; m];
     for index in 0..total {
@@ -322,11 +328,11 @@ pub fn exhaustive_worst_case(
             *slot = x % q;
             x /= q;
         }
-        let traj = sim.run(scenario, &modes)?;
-        if traj.diverged {
+        let summary = sim.run_cost(&lifted, &modes, &mut buffers)?;
+        if summary.diverged {
             return Ok(f64::INFINITY);
         }
-        worst = worst.max(traj.cost);
+        worst = worst.max(summary.cost);
     }
     Ok(worst)
 }
@@ -358,8 +364,8 @@ mod tests {
     fn random_sequences_are_valid_modes() {
         let hset = IntervalSet::from_timing(0.010, 0.016, 5).unwrap();
         let mut rng = SmallRng::seed_from_u64(1);
-        let modes = random_mode_sequence(&hset, 500, &mut rng, 0.05).unwrap();
-        assert_eq!(modes.len(), 500);
+        let mut modes = vec![usize::MAX; 500];
+        random_modes_into(&hset, &mut rng, 0.05, &mut modes).unwrap();
         assert!(modes.iter().all(|&m| m < hset.len()));
         // With Rmax = 1.6T and uniform R, a healthy share must be overruns.
         let overruns = modes.iter().filter(|&&m| m > 0).count();

@@ -125,6 +125,10 @@ fn contraction_margin(plant: &ContinuousSs, h: f64) -> Result<f64> {
 /// `h`: the step-response integral square error over `steps` jobs plus a
 /// terminal penalty weighting the residual steady-state error, with an
 /// infinite penalty for divergence. Used as the tuning objective.
+///
+/// Steps on one scratch buffer per call with the allocation-free
+/// `mul_vec_into` / `step_into` kernels, which are bit-identical to the
+/// allocating `matmul`/`step` — so the tuned gains are too.
 fn nominal_step_cost(
     plant: &ContinuousSs,
     mode: &ControllerMode,
@@ -134,36 +138,43 @@ fn nominal_step_cost(
     let Ok(d) = plant.discretize(h) else {
         return f64::INFINITY;
     };
-    let mut x = Matrix::zeros(plant.state_dim(), 1);
-    let mut z = Matrix::zeros(1, 1);
-    let mut u_applied = Matrix::zeros(1, 1);
+    let n = plant.state_dim();
+    let mut work = vec![0.0; 3 * n];
+    let (mut x, rest) = work.split_at_mut(n);
+    let (mut x_next, gamma_u) = rest.split_at_mut(n);
+    let (mut z, mut z_next) = ([0.0], [0.0]);
+    let (mut u_applied, mut u_new) = ([0.0], [0.0]);
+    let (mut y, mut e, mut scratch) = ([0.0], [0.0], [0.0]);
     let mut cost = 0.0;
-    let mut e_val = 0.0;
     for _ in 0..steps {
-        let Ok(y) = plant.c.matmul(&x) else {
-            return f64::INFINITY;
-        };
-        e_val = 1.0 - y[(0, 0)];
-        let e = Matrix::col_vec(&[e_val]);
-        let Ok((z_new, u_new)) = mode.step(&z, &e) else {
-            return f64::INFINITY;
-        };
-        z = z_new;
-        cost += e_val * e_val;
-        let Ok(x_next) = d.step(&x, &u_applied) else {
-            return f64::INFINITY;
-        };
-        // The command computed by job k applies from the next release on.
-        u_applied = u_new;
-        if !x_next.is_finite() || x_next.max_abs() > 1e9 {
+        if plant.c.mul_vec_into(x, &mut y).is_err() {
             return f64::INFINITY;
         }
-        x = x_next;
+        e[0] = 1.0 - y[0];
+        if mode
+            .step_into(&z, &e, &mut scratch, &mut z_next, &mut u_new)
+            .is_err()
+        {
+            return f64::INFINITY;
+        }
+        z = z_next;
+        cost += e[0] * e[0];
+        if d.step_into(x, &u_applied, gamma_u, x_next).is_err() {
+            return f64::INFINITY;
+        }
+        // The command computed by job k applies from the next release on.
+        u_applied = u_new;
+        if !x_next.iter().all(|v| v.is_finite())
+            || x_next.iter().fold(0.0_f64, |m, v| m.max(v.abs())) > 1e9
+        {
+            return f64::INFINITY;
+        }
+        std::mem::swap(&mut x, &mut x_next);
     }
     // Terminal penalty: an O(steps) weight on the residual error makes a
     // biased proportional-only solution (which minimises the short-window
     // ISE) lose against true integral action.
-    cost + steps as f64 * e_val * e_val
+    cost + steps as f64 * e[0] * e[0]
 }
 
 /// Tunes `(K̄P, K̄I)` for one interval in two phases:
@@ -321,6 +332,77 @@ pub fn design_fixed(
 mod tests {
     use super::*;
     use crate::plants;
+
+    /// The allocating objective `nominal_step_cost` replaced, kept as its
+    /// bit-identity oracle.
+    fn nominal_step_cost_alloc(
+        plant: &ContinuousSs,
+        mode: &ControllerMode,
+        h: f64,
+        steps: usize,
+    ) -> f64 {
+        let Ok(d) = plant.discretize(h) else {
+            return f64::INFINITY;
+        };
+        let mut x = Matrix::zeros(plant.state_dim(), 1);
+        let mut z = Matrix::zeros(1, 1);
+        let mut u_applied = Matrix::zeros(1, 1);
+        let mut cost = 0.0;
+        let mut e_val = 0.0;
+        for _ in 0..steps {
+            let Ok(y) = plant.c.matmul(&x) else {
+                return f64::INFINITY;
+            };
+            e_val = 1.0 - y[(0, 0)];
+            let e = Matrix::col_vec(&[e_val]);
+            let Ok((z_new, u_new)) = mode.step(&z, &e) else {
+                return f64::INFINITY;
+            };
+            z = z_new;
+            cost += e_val * e_val;
+            let Ok(x_next) = d.step(&x, &u_applied) else {
+                return f64::INFINITY;
+            };
+            // The command computed by job k applies from the next release on.
+            u_applied = u_new;
+            if !x_next.is_finite() || x_next.max_abs() > 1e9 {
+                return f64::INFINITY;
+            }
+            x = x_next;
+        }
+        // Terminal penalty: an O(steps) weight on the residual error makes a
+        // biased proportional-only solution (which minimises the short-window
+        // ISE) lose against true integral action.
+        cost + steps as f64 * e_val * e_val
+    }
+
+    #[test]
+    fn step_cost_bit_identical_to_allocating_oracle() -> Result<()> {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut finite = 0;
+        for plant in [plants::unstable_second_order(), plants::dc_motor()] {
+            for _ in 0..40 {
+                let kp = rng.gen_range(-300.0..300.0);
+                let ki = rng.gen_range(-3000.0..3000.0);
+                let h = rng.gen_range(0.002..0.03);
+                let steps = rng.gen_range(1..400);
+                let mode = mode_for_gains(kp, ki, h)?;
+                let new = nominal_step_cost(&plant, &mode, h, steps);
+                let old = nominal_step_cost_alloc(&plant, &mode, h, steps);
+                assert_eq!(
+                    new.to_bits(),
+                    old.to_bits(),
+                    "kp {kp} ki {ki} h {h} steps {steps}: {new} vs {old}"
+                );
+                finite += usize::from(new.is_finite());
+            }
+        }
+        // Both stabilising and diverging gains were exercised.
+        assert!((20..80).contains(&finite), "{finite} of 80 finite");
+        Ok(())
+    }
 
     #[test]
     fn mode_matches_eq7_structure() {

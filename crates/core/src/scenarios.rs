@@ -254,9 +254,9 @@ pub fn table2_with(
             let opts = cfg.worst_case_options();
             // A strategy's cell reads "unstable" when the JSR analysis
             // certifies instability (paper methodology) or any simulated
-            // sequence diverges.
-            let worst = |table: &ControllerTable| -> Result<Option<f64>> {
-                let cert = certify_fn(plant, table, &CertifyOptions::default())?;
+            // sequence diverges. Each table is certified exactly once: the
+            // adaptive column reuses `report`.
+            let worst = |table: &ControllerTable, cert: &StabilityReport| -> Result<Option<f64>> {
                 if cert.bounds.certifies_unstable() {
                     return Ok(None);
                 }
@@ -267,6 +267,12 @@ pub fn table2_with(
                 } else {
                     None
                 })
+            };
+            let certified = |table: &ControllerTable| -> Result<Option<f64>> {
+                worst(
+                    table,
+                    &certify_fn(plant, table, &CertifyOptions::default())?,
+                )
             };
 
             // Cost with no overruns: the adaptive design running nominally.
@@ -289,9 +295,9 @@ pub fn table2_with(
                 ns,
                 jsr_adaptive: report.bounds,
                 cost_no_overruns: nominal,
-                cost_adaptive: worst(&adaptive)?.unwrap_or(f64::INFINITY),
-                cost_fixed_t: worst(&fixed_t)?,
-                cost_fixed_rmax: worst(&fixed_rmax)?,
+                cost_adaptive: worst(&adaptive, &report)?.unwrap_or(f64::INFINITY),
+                cost_fixed_t: certified(&fixed_t)?,
+                cost_fixed_rmax: certified(&fixed_rmax)?,
                 cost_fixed_period_rmax: fixed_period_cost,
                 screen_adaptive: report.screen,
             });

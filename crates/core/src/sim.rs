@@ -4,10 +4,15 @@
 //! job `k`, released at `a_k`, samples the plant, computes its command with
 //! the controller mode selected by the *previous* interval `h_{k−1}`, and
 //! the command takes effect at the next release `a_{k+1} = a_k + h_k`.
+//!
+//! It does so on the lifted state `ξ = [x; z̃; ũ; u]` of [`crate::lifted`]:
+//! one accumulating mat-vec `ξ(k+1) = Ω(h_k) ξ(k) + b(h_k)` per job, with
+//! the same `Ω(h)` matrices the stability certificate bounds and a
+//! constant term `b(h) = [0; Bc·r; Dc·r; 0]` for a step reference `r`.
 
 use overrun_linalg::Matrix;
 
-use crate::{lifted, ContinuousSs, ControllerTable, DiscreteSs, Error, Result};
+use crate::{lifted, ContinuousSs, ControllerTable, Error, Result};
 
 /// Initial condition and reference of a simulation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,8 +76,38 @@ pub struct CostSummary {
     pub diverged: bool,
 }
 
-/// A reusable closed-loop simulator: plant + controller table with all
-/// per-interval discretisations precomputed.
+/// A scenario bound to a simulator's lifted state space: the initial
+/// state `ξ(0)` for every choice of initial mode and the affine reference
+/// term `b(h)` for every interval. Built once per ensemble by
+/// [`ClosedLoopSim::lift`] and shared by every sequence.
+#[derive(Debug, Clone)]
+pub struct LiftedScenario {
+    reference: Vec<f64>,
+    /// `b(h_i) = [0; Bc_i·r; Dc_i·r; 0]`, one `dim`-block per interval.
+    offsets: Vec<f64>,
+    /// `ξ(0) = [x0; Bc_i·e0; Dc_i·e0; 0]`, one `dim`-block per initial
+    /// mode `i`.
+    initial: Vec<f64>,
+}
+
+/// Per-worker scratch of the lifted stepping core: `ξ(k)`, `ξ(k+1)` and
+/// the error `e[k]`. Allocate once with [`ClosedLoopSim::buffers`] and
+/// reuse across sequences.
+#[derive(Debug, Clone)]
+pub struct SimBuffers {
+    xi: Vec<f64>,
+    xi_next: Vec<f64>,
+    e: Vec<f64>,
+}
+
+/// A reusable closed-loop simulator: plant + controller table with the
+/// lifted matrices `Ω(h)` of every `h ∈ H` precomputed.
+///
+/// The simulator steps the paper's lifted loop
+/// `ξ(k+1) = Ω(h_k) ξ(k) + b(h_k)` (Sec. V) with the very matrices
+/// [`crate::stability::certify`] bounds, so simulation and certification
+/// share one closed-loop model. `b(h)` carries a constant reference and
+/// is zero for regulation.
 ///
 /// # Example
 ///
@@ -98,12 +133,13 @@ pub struct ClosedLoopSim {
     plant: ContinuousSs,
     table: ControllerTable,
     measurement: Matrix,
-    discretizations: Vec<DiscreteSs>,
+    omegas: Vec<Matrix>,
     divergence_threshold: f64,
 }
 
 impl ClosedLoopSim {
-    /// Builds the simulator, precomputing `Φ(h), Γ(h)` for every `h ∈ H`.
+    /// Builds the simulator, precomputing `Ω(h)` for every `h ∈ H` with
+    /// [`lifted::build_omega_set`].
     ///
     /// # Errors
     ///
@@ -111,17 +147,12 @@ impl ClosedLoopSim {
     pub fn new(plant: &ContinuousSs, table: &ControllerTable) -> Result<Self> {
         let _sp = overrun_trace::span!("sim.build", modes = table.len());
         let measurement = lifted::measurement_matrix(plant, table)?;
-        let discretizations = table
-            .hset()
-            .intervals()
-            .iter()
-            .map(|&h| plant.discretize(h))
-            .collect::<Result<Vec<_>>>()?;
+        let omegas = lifted::build_omega_set(plant, table, &measurement)?;
         Ok(ClosedLoopSim {
             plant: plant.clone(),
             table: table.clone(),
             measurement,
-            discretizations,
+            omegas,
             divergence_threshold: 1e9,
         })
     }
@@ -141,6 +172,78 @@ impl ClosedLoopSim {
     /// The plant under control.
     pub fn plant(&self) -> &ContinuousSs {
         &self.plant
+    }
+
+    /// Dimension of the lifted state `ξ = [x; z̃; ũ; u]`.
+    fn lifted_dim(&self) -> usize {
+        self.plant.state_dim() + self.table.state_dim() + 2 * self.plant.input_dim()
+    }
+
+    /// Fresh scratch buffers for [`ClosedLoopSim::run_cost`].
+    pub fn buffers(&self) -> SimBuffers {
+        let dim = self.lifted_dim();
+        SimBuffers {
+            xi: vec![0.0; dim],
+            xi_next: vec![0.0; dim],
+            e: vec![0.0; self.table.error_dim()],
+        }
+    }
+
+    /// Binds a scenario to the lifted state space: builds `ξ(0)` for every
+    /// initial mode and the reference term `b(h)` for every interval.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] for a scenario with mismatched
+    /// dimensions.
+    pub fn lift(&self, scenario: &SimScenario) -> Result<LiftedScenario> {
+        let n = self.plant.state_dim();
+        let p = self.table.error_dim();
+        if scenario.x0.shape() != (n, 1) {
+            return Err(Error::InvalidConfig(format!(
+                "x0 must be {n}x1, got {}x{}",
+                scenario.x0.rows(),
+                scenario.x0.cols()
+            )));
+        }
+        if scenario.reference.shape() != (p, 1) {
+            return Err(Error::InvalidConfig(format!(
+                "reference must be {p}x1, got {}x{}",
+                scenario.reference.rows(),
+                scenario.reference.cols()
+            )));
+        }
+        let s = self.table.state_dim();
+        let r = self.plant.input_dim();
+        let dim = self.lifted_dim();
+        let reference = scenario.reference.as_slice();
+        let x0 = scenario.x0.as_slice();
+        let mut e0 = vec![0.0; p];
+        self.measurement.mul_vec_into(x0, &mut e0)?;
+        for (ei, &ri) in e0.iter_mut().zip(reference) {
+            *ei = ri - *ei;
+        }
+        let q = self.table.len();
+        let mut offsets = vec![0.0; q * dim];
+        let mut initial = vec![0.0; q * dim];
+        for (i, (b, xi0)) in offsets
+            .chunks_exact_mut(dim)
+            .zip(initial.chunks_exact_mut(dim))
+            .enumerate()
+        {
+            let mode = self.table.mode(i);
+            // Job 0 computes (z[1], u[1]) from z[0] = 0; u[0] = 0.
+            xi0[..n].copy_from_slice(x0);
+            mode.bc.mul_vec_into(&e0, &mut xi0[n..n + s])?;
+            mode.dc.mul_vec_into(&e0, &mut xi0[n + s..n + s + r])?;
+            mode.bc.mul_vec_into(reference, &mut b[n..n + s])?;
+            mode.dc.mul_vec_into(reference, &mut b[n + s..n + s + r])?;
+        }
+        Ok(LiftedScenario {
+            reference: reference.to_vec(),
+            offsets,
+            initial,
+        })
     }
 
     /// Simulates one trajectory along a sequence of interval indices
@@ -174,167 +277,128 @@ impl ClosedLoopSim {
         modes: &[usize],
         initial_mode: usize,
     ) -> Result<Trajectory> {
+        let lifted = self.lift(scenario)?;
+        let mut buffers = self.buffers();
         let mut errors = Vec::with_capacity(modes.len());
         let mut states = Vec::with_capacity(modes.len());
         let mut commands = Vec::with_capacity(modes.len());
-        let (cost, cost_integral, diverged) =
-            self.run_core(scenario, modes, initial_mode, |e, x, u| {
-                errors.push(Matrix::col_vec(e));
-                states.push(Matrix::col_vec(x));
-                commands.push(Matrix::col_vec(u));
-            })?;
+        let summary = self.run_lifted(&lifted, modes, initial_mode, &mut buffers, |e, x, u| {
+            errors.push(Matrix::col_vec(e));
+            states.push(Matrix::col_vec(x));
+            commands.push(Matrix::col_vec(u));
+        })?;
         let recorded = states.len();
         Ok(Trajectory {
             errors,
             states,
             commands,
             mode_sequence: modes[..recorded].to_vec(),
-            cost,
-            cost_integral,
-            diverged,
+            cost: summary.cost,
+            cost_integral: summary.cost_integral,
+            diverged: summary.diverged,
         })
     }
 
-    /// Cost-only fast path: identical dynamics to [`ClosedLoopSim::run`]
-    /// but no per-job trajectory records and no per-step allocation —
-    /// the entry point Monte Carlo ensembles should use. Costs are
-    /// bit-identical to the recording path (both run the same core).
+    /// Cost-only fast path: the dynamics of [`ClosedLoopSim::run`] (nominal
+    /// virtual interval before the first job) without per-job records and
+    /// without allocation — the entry point Monte Carlo ensembles use.
+    /// Costs are bit-identical to the recording path (both run the same
+    /// core).
     ///
     /// # Errors
     ///
-    /// Same conditions as [`ClosedLoopSim::run`].
-    pub fn run_cost(&self, scenario: &SimScenario, modes: &[usize]) -> Result<CostSummary> {
-        self.run_cost_with_initial_mode(scenario, modes, 0)
-    }
-
-    /// Like [`ClosedLoopSim::run_cost`] with an explicit virtual interval
-    /// before the first job (see [`ClosedLoopSim::run_with_initial_mode`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ClosedLoopSim::run`].
-    pub fn run_cost_with_initial_mode(
+    /// Returns [`Error::InvalidConfig`] for an out-of-range mode index, or
+    /// when `lifted`/`buffers` were built for a simulator of other
+    /// dimensions.
+    pub fn run_cost(
         &self,
-        scenario: &SimScenario,
+        lifted: &LiftedScenario,
         modes: &[usize],
-        initial_mode: usize,
+        buffers: &mut SimBuffers,
     ) -> Result<CostSummary> {
-        let (cost, cost_integral, diverged) =
-            self.run_core(scenario, modes, initial_mode, |_, _, _| {})?;
-        Ok(CostSummary {
-            cost,
-            cost_integral,
-            diverged,
-        })
+        self.run_lifted(lifted, modes, 0, buffers, |_, _, _| {})
     }
 
-    /// The shared stepping core behind [`ClosedLoopSim::run`] and
-    /// [`ClosedLoopSim::run_cost`]: slice buffers only, zero allocation
-    /// per step. `observe(e, x, u_applied)` is called once per simulated
-    /// job (before the plant update, matching the recording order of the
-    /// original implementation).
-    fn run_core<F: FnMut(&[f64], &[f64], &[f64])>(
+    /// The one stepping core behind [`ClosedLoopSim::run`] and
+    /// [`ClosedLoopSim::run_cost`]: one accumulating mat-vec
+    /// `ξ(k+1) = b(h_k) + Ω(h_k) ξ(k)` per job on caller-provided buffers.
+    /// `observe(e, x, u_applied)` is called once per simulated job, before
+    /// the step. The error `e[k] = r − C_m x[k]` and the divergence test
+    /// both read the `x` block of `ξ`.
+    fn run_lifted<F: FnMut(&[f64], &[f64], &[f64])>(
         &self,
-        scenario: &SimScenario,
+        lifted: &LiftedScenario,
         modes: &[usize],
         initial_mode: usize,
+        buffers: &mut SimBuffers,
         mut observe: F,
-    ) -> Result<(f64, f64, bool)> {
+    ) -> Result<CostSummary> {
         let n = self.plant.state_dim();
-        let r = self.plant.input_dim();
-        if scenario.x0.shape() != (n, 1) {
+        let dim = self.lifted_dim();
+        let q = self.table.len();
+        if initial_mode >= q {
             return Err(Error::InvalidConfig(format!(
-                "x0 must be {n}x1, got {}x{}",
-                scenario.x0.rows(),
-                scenario.x0.cols()
+                "initial mode {initial_mode} out of range (H has {q} entries)"
             )));
         }
-        if scenario.reference.shape() != (self.table.error_dim(), 1) {
-            return Err(Error::InvalidConfig(format!(
-                "reference must be {}x1, got {}x{}",
-                self.table.error_dim(),
-                scenario.reference.rows(),
-                scenario.reference.cols()
-            )));
+        let SimBuffers { xi, xi_next, e } = buffers;
+        if lifted.initial.len() != q * dim
+            || lifted.offsets.len() != q * dim
+            || xi.len() != dim
+            || xi_next.len() != dim
+            || e.len() != lifted.reference.len()
+        {
+            return Err(Error::InvalidConfig(
+                "lifted scenario or buffers built for another simulator".into(),
+            ));
         }
-        if initial_mode >= self.table.len() {
-            return Err(Error::InvalidConfig(format!(
-                "initial mode {initial_mode} out of range (H has {} entries)",
-                self.table.len()
-            )));
-        }
-
-        let nc = self.table.state_dim();
-        let p = self.table.error_dim();
-        if self.measurement.rows() != p {
-            return Err(Error::InvalidConfig(format!(
-                "measurement matrix has {} rows but the controller expects {p}",
-                self.measurement.rows()
-            )));
-        }
-        let mut x = scenario.x0.as_slice().to_vec();
-        let mut x_next = vec![0.0; n];
-        let mut y = vec![0.0; self.measurement.rows()];
-        let mut e = vec![0.0; p];
-        let mut z = vec![0.0; nc];
-        let mut z_next = vec![0.0; nc];
-        let mut u_applied = vec![0.0; r];
-        let mut u_next = vec![0.0; r];
-        let mut scratch = vec![0.0; nc.max(r).max(n)];
-        let reference = scenario.reference.as_slice();
-        let mut prev_mode = initial_mode;
+        xi.copy_from_slice(&lifted.initial[initial_mode * dim..(initial_mode + 1) * dim]);
+        let applied = dim - self.plant.input_dim();
+        let intervals = self.table.hset().intervals();
 
         let mut cost = 0.0;
         let mut cost_integral = 0.0;
         let mut diverged = false;
-        let intervals = self.table.hset().intervals();
-
         for (k, &mode_idx) in modes.iter().enumerate() {
-            if mode_idx >= self.table.len() {
+            if mode_idx >= q {
                 return Err(Error::InvalidConfig(format!(
-                    "mode index {mode_idx} out of range at job {k} (H has {} entries)",
-                    self.table.len()
+                    "mode index {mode_idx} out of range at job {k} (H has {q} entries)"
                 )));
             }
-            // Job k: sample, compute error, run controller with the mode of
-            // the previous interval.
-            self.measurement.mul_vec_into(&x, &mut y)?;
-            for ((ei, &ri), &yi) in e.iter_mut().zip(reference).zip(y.iter()) {
-                *ei = ri - yi;
+            self.measurement.mul_vec_into(&xi[..n], e)?;
+            for (ei, &ri) in e.iter_mut().zip(&lifted.reference) {
+                *ei = ri - *ei;
             }
-            let mode = self.table.mode(prev_mode);
-            mode.step_into(&z, &e, &mut scratch, &mut z_next, &mut u_next)?;
-            std::mem::swap(&mut z, &mut z_next);
-
-            observe(&e, &x, &u_applied);
+            observe(e, &xi[..n], &xi[applied..]);
             let e_sq = e.iter().map(|v| v * v).sum::<f64>();
             cost += e_sq;
             cost_integral += e_sq * intervals[mode_idx];
 
-            // Plant evolves over h_k under the currently applied command;
-            // the command computed by job k takes effect at the next
-            // release a_{k+1} (one interval of input–output delay, paper
-            // Sec. III).
-            let d = &self.discretizations[mode_idx];
-            d.step_into(&x, &u_applied, &mut scratch[..n], &mut x_next)?;
-            std::mem::swap(&mut u_applied, &mut u_next);
-            prev_mode = mode_idx;
-
+            // Ω(h_k) advances the plant over h_k under the command job k−1
+            // computed (one interval of input–output delay, paper Sec. III)
+            // and runs job k+1's controller, the mode of h_k, on the new
+            // sample.
+            xi_next.copy_from_slice(&lifted.offsets[mode_idx * dim..(mode_idx + 1) * dim]);
+            self.omegas[mode_idx].mul_vec_acc_into(xi, xi_next)?;
+            let x_next = &xi_next[..n];
             if !x_next.iter().all(|v| v.is_finite())
-                || x_next.iter().fold(0.0_f64, |m, v| m.max(v.abs()))
-                    > self.divergence_threshold
+                || x_next.iter().fold(0.0_f64, |m, v| m.max(v.abs())) > self.divergence_threshold
             {
                 diverged = true;
                 // Freeze the state: the trajectory is already classified.
                 break;
             }
-            std::mem::swap(&mut x, &mut x_next);
+            std::mem::swap(xi, xi_next);
         }
         if diverged {
             cost = f64::INFINITY;
             cost_integral = f64::INFINITY;
         }
-        Ok((cost, cost_integral, diverged))
+        Ok(CostSummary {
+            cost,
+            cost_integral,
+            diverged,
+        })
     }
 }
 
@@ -406,20 +470,41 @@ mod tests {
     }
 
     #[test]
-    fn run_cost_matches_run_bitwise() {
+    fn run_cost_matches_run_bitwise() -> Result<()> {
         let (plant, table) = setup();
-        let sim = ClosedLoopSim::new(&plant, &table).unwrap();
+        let sim = ClosedLoopSim::new(&plant, &table)?;
         let scenario = SimScenario::step(2, Matrix::col_vec(&[1.0]));
         let modes: Vec<usize> = (0..200).map(|k| usize::from(k % 3 == 1)).collect();
-        let traj = sim.run(&scenario, &modes).unwrap();
-        let fast = sim.run_cost(&scenario, &modes).unwrap();
+        let traj = sim.run(&scenario, &modes)?;
+        let lifted = sim.lift(&scenario)?;
+        let mut buffers = sim.buffers();
+        let fast = sim.run_cost(&lifted, &modes, &mut buffers)?;
         assert_eq!(fast.cost.to_bits(), traj.cost.to_bits());
         assert_eq!(fast.cost_integral.to_bits(), traj.cost_integral.to_bits());
         assert_eq!(fast.diverged, traj.diverged);
-        // With an explicit initial mode, too.
-        let traj = sim.run_with_initial_mode(&scenario, &modes, 1).unwrap();
-        let fast = sim.run_cost_with_initial_mode(&scenario, &modes, 1).unwrap();
-        assert_eq!(fast.cost.to_bits(), traj.cost.to_bits());
+        // Reused buffers carry no state from one run to the next.
+        let again = sim.run_cost(&lifted, &modes, &mut buffers)?;
+        assert_eq!(again, fast);
+        Ok(())
+    }
+
+    #[test]
+    fn foreign_lifted_scenario_rejected() -> Result<()> {
+        let (plant, table) = setup();
+        let sim = ClosedLoopSim::new(&plant, &table)?;
+        let pmsm = plants::pmsm();
+        let hset = IntervalSet::from_timing(50e-6, 65e-6, 2)?;
+        let weights = crate::scenarios::pmsm_table2_weights();
+        let other =
+            ClosedLoopSim::new(&pmsm, &crate::lqr::design_adaptive(&pmsm, &hset, &weights)?)?;
+        let lifted = other.lift(&SimScenario::regulation(
+            Matrix::col_vec(&[1.0, 1.0, 1.0]),
+            3,
+        ))?;
+        assert!(sim.run_cost(&lifted, &[0; 4], &mut sim.buffers()).is_err());
+        let own = sim.lift(&SimScenario::step(2, Matrix::col_vec(&[1.0])))?;
+        assert!(sim.run_cost(&own, &[0; 4], &mut other.buffers()).is_err());
+        Ok(())
     }
 
     #[test]
