@@ -10,10 +10,7 @@
 
 use overrun_bench::{metrics, run_header, RunArgs};
 use overrun_control::plants;
-use overrun_control::scenarios::{
-    format_table2, pmsm_table2_weights, table2_certifications, table2_with,
-};
-use overrun_control::stability;
+use overrun_control::scenarios::{format_table2, pmsm_table2_weights, table2_with};
 use overrun_linalg::Matrix;
 
 fn main() {
@@ -36,27 +33,12 @@ fn main() {
         args.sequences, args.jobs, args.seed, threads
     ));
     let started = std::time::Instant::now();
-    // With `--cache`, the batch engine certifies (or replays) every table
-    // up front; the driver then reads from its results, so the CSV is
-    // byte-identical to the direct path.
-    let session = match table2_certifications(&plant, t, &weights, &cfg)
-        .map_err(|e| e.to_string())
-        .and_then(|certs| args.sweep_session(&plant, certs))
-    {
-        Ok(s) => s,
-        Err(msg) => {
-            eprintln!("sweep failed: {msg}");
-            std::process::exit(1);
-        }
-    };
-    let rows = match &session {
-        Some(s) => table2_with(&plant, t, &weights, &x0, &cfg, &|p, tb, o| {
-            s.certify(p, tb, o)
-        }),
-        None => table2_with(&plant, t, &weights, &x0, &cfg, &|p, tb, o| {
-            stability::certify(p, tb, o)
-        }),
-    };
+    // With `--cache`, every certification goes through the record cache;
+    // the CSV is byte-identical to the direct path.
+    let certifier = args.certifier("table2");
+    let rows = table2_with(&plant, t, &weights, &x0, &cfg, &|p, tb, o| {
+        certifier.certify(p, tb, o)
+    });
     let rows = match rows {
         Ok(r) => r,
         Err(e) => {
@@ -65,6 +47,9 @@ fn main() {
         }
     };
     let elapsed = started.elapsed();
+    if let Some(line) = certifier.summary() {
+        args.human(&line);
+    }
     args.human(&format_table2(&rows));
     args.human("norm screening (adaptive-design certifications):");
     for r in &rows {
@@ -114,9 +99,7 @@ fn main() {
         ("schur_skipped", screen.schur_skipped() as f64),
         ("screen_hit_rate", screen.hit_rate()),
     ]);
-    if let Some(s) = &session {
-        km.extend(s.key_metrics());
-    }
+    km.extend(certifier.key_metrics());
     km.extend(args.finish_trace("table2"));
     args.maybe_write_json("table2", threads, elapsed, &km);
 }

@@ -9,6 +9,8 @@
 
 use std::path::PathBuf;
 
+use overrun_control::stability::{self, CertifyOptions, StabilityReport};
+
 /// Command-line options shared by the experiment binaries.
 ///
 /// Supported flags:
@@ -28,9 +30,8 @@ use std::path::PathBuf;
 ///   `<out_dir>/<bin>.trace.jsonl`) and a span-tree summary to stderr,
 /// * `--cache DIR` — memoize JSR certifications in a content-addressed
 ///   on-disk cache (`overrun-sweep`): a rerun with the same inputs reports
-///   100% cache hits and produces byte-identical results,
-/// * `--resume` — resume a killed sweep from its checkpoint in the
-///   `--cache` directory (re-verifying every cached record it replays).
+///   100% cache hits and produces byte-identical results; a killed run
+///   resumes by rerunning over the same directory.
 #[derive(Debug, Clone)]
 pub struct RunArgs {
     /// Random sequences per configuration.
@@ -50,8 +51,6 @@ pub struct RunArgs {
     pub trace: Option<Option<PathBuf>>,
     /// Certification-cache directory (`--cache`); `None` = direct path.
     pub cache: Option<PathBuf>,
-    /// Resume from the sweep checkpoint in the cache dir (`--resume`).
-    pub resume: bool,
 }
 
 impl Default for RunArgs {
@@ -65,7 +64,6 @@ impl Default for RunArgs {
             json: None,
             trace: None,
             cache: None,
-            resume: false,
         }
     }
 }
@@ -117,9 +115,6 @@ impl RunArgs {
                         .ok_or_else(|| "--cache requires a directory".to_string())?;
                     out.cache = Some(PathBuf::from(v));
                 }
-                "--resume" => {
-                    out.resume = true;
-                }
                 other if other.starts_with("--trace=") => {
                     let v = &other["--trace=".len()..];
                     if v.is_empty() {
@@ -138,9 +133,6 @@ impl RunArgs {
                     out.json = Some(PathBuf::from(p));
                 }
             }
-        }
-        if out.resume && out.cache.is_none() {
-            return Err("--resume requires --cache DIR".to_string());
         }
         #[cfg(not(feature = "trace"))]
         if out.trace.is_some() {
@@ -241,56 +233,17 @@ impl RunArgs {
         overrun_par::max_threads()
     }
 
-    /// When `--cache DIR` was given, runs the `overrun-sweep` batch
-    /// certification engine over `certifications` (memoized in the cache,
-    /// checkpointed, `--resume`-able, fault-isolated) and returns the
-    /// session that answers the driver's `certify` calls from the engine's
-    /// results. Returns `None` on the direct (uncached) path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the sweep's infrastructure error as a string (cache or
-    /// checkpoint I/O); per-scenario faults are *not* errors here — the
-    /// lookup simply misses and the driver falls back to the direct
-    /// certifier, which reports the real failure in context.
-    pub fn sweep_session(
-        &self,
-        plant: &overrun_control::ContinuousSs,
-        certifications: Vec<(String, overrun_control::ControllerTable)>,
-    ) -> Result<Option<SweepSession>, String> {
-        let Some(dir) = &self.cache else {
-            return Ok(None);
-        };
-        let opts = overrun_control::stability::CertifyOptions::default();
-        let prepared: Vec<overrun_sweep::PreparedScenario> = certifications
-            .into_iter()
-            .map(|(label, table)| {
-                overrun_sweep::PreparedScenario::new(label, plant.clone(), table, opts.clone())
-            })
-            .collect();
-        let report = overrun_sweep::run_sweep(
-            &prepared,
-            &overrun_sweep::SweepOptions {
+    /// The certifier the experiment drivers call: cache-through with
+    /// `--cache DIR` (records labelled `"<bin> #<call>"`), direct otherwise.
+    pub fn certifier(&self, bin: &str) -> Certifier {
+        Certifier {
+            cache: self.cache.as_ref().map(|dir| overrun_sweep::SweepOptions {
                 cache_dir: Some(dir.clone()),
-                resume: self.resume,
-                ..overrun_sweep::SweepOptions::default()
-            },
-        )
-        .map_err(|e| e.to_string())?;
-        for err in report.errors() {
-            eprintln!("warning: sweep {err}");
+                retry: false,
+            }),
+            label: bin.to_string(),
+            stats: std::cell::Cell::new(overrun_sweep::SweepStats::default()),
         }
-        let stats = report.stats;
-        self.human(&format!(
-            "sweep cache: {} hits / {} misses ({} certified, {} shards, {} resumed)",
-            stats.cache_hits, stats.cache_misses, stats.computed, stats.shards,
-            stats.resumed_shards
-        ));
-        Ok(Some(SweepSession {
-            lookup: report.lookup(),
-            stats,
-            fallbacks: std::cell::Cell::new(0),
-        }))
     }
 
     /// Writes `contents` to `<out_dir>/<name>`, creating the directory.
@@ -326,48 +279,91 @@ impl RunArgs {
     }
 }
 
-/// A completed certification sweep bridging the experiment drivers to the
-/// `overrun-sweep` cache: [`SweepSession::certify`] answers from the
-/// engine's results by content key and falls back to the direct certifier
-/// for anything the sweep did not cover (counted, surfaced in
-/// [`SweepSession::key_metrics`]).
+/// The certification hook of the experiment drivers ([`RunArgs::certifier`]).
+///
+/// Without `--cache` it is [`stability::certify`]. With `--cache DIR` each
+/// call runs the `overrun-sweep` engine over a one-scenario slice, without
+/// the tightened-budget retry: a hit returns the stored report, a miss runs
+/// `stability::certify` and stores the result, and a fault comes back as
+/// `Err`. Either way the drivers see the same reports, so the CSV data is
+/// byte-identical to the direct path.
 #[derive(Debug)]
-pub struct SweepSession {
-    lookup: overrun_sweep::CertLookup,
-    stats: overrun_sweep::SweepStats,
-    fallbacks: std::cell::Cell<u64>,
+pub struct Certifier {
+    cache: Option<overrun_sweep::SweepOptions>,
+    label: String,
+    stats: std::cell::Cell<overrun_sweep::SweepStats>,
 }
 
-impl SweepSession {
-    /// Answers one certification from the sweep results; falls back to
-    /// [`overrun_control::stability::certify`] on a lookup miss.
+impl Certifier {
+    /// Certifies one table, through the cache when one is configured.
     ///
     /// # Errors
     ///
-    /// Propagates failures of the fallback certifier.
+    /// Propagates the direct certifier's error. Through the cache, a
+    /// certification fault or a cache I/O failure is returned as
+    /// [`overrun_control::Error::InvalidConfig`] carrying the engine's
+    /// message.
     pub fn certify(
         &self,
         plant: &overrun_control::ContinuousSs,
         table: &overrun_control::ControllerTable,
-        opts: &overrun_control::stability::CertifyOptions,
-    ) -> overrun_control::Result<overrun_control::stability::StabilityReport> {
-        if let Some(report) = self.lookup.report_for(plant, table, opts) {
-            return Ok(report);
-        }
-        self.fallbacks.set(self.fallbacks.get() + 1);
-        overrun_control::stability::certify(plant, table, opts)
+        opts: &CertifyOptions,
+    ) -> overrun_control::Result<StabilityReport> {
+        let Some(sweep) = &self.cache else {
+            return stability::certify(plant, table, opts);
+        };
+        let mut stats = self.stats.get();
+        let scenario = overrun_sweep::PreparedScenario::new(
+            format!("{} #{}", self.label, stats.scenarios),
+            plant.clone(),
+            table.clone(),
+            opts.clone(),
+        );
+        let fault = |msg: String| overrun_control::Error::InvalidConfig(format!("--cache: {msg}"));
+        let report = overrun_sweep::run_sweep(std::slice::from_ref(&scenario), sweep)
+            .map_err(|e| fault(e.to_string()))?;
+        let one = report.stats;
+        stats.scenarios += one.scenarios;
+        stats.cache_hits += one.cache_hits;
+        stats.cache_misses += one.cache_misses;
+        stats.computed += one.computed;
+        stats.corrupt_records += one.corrupt_records;
+        self.stats.set(stats);
+        let outcome = report.outcomes.into_iter().next();
+        let rec = outcome
+            .ok_or_else(|| fault("the sweep returned no outcome".to_string()))?
+            .result
+            .map_err(|e| fault(e.to_string()))?;
+        Ok(StabilityReport {
+            bounds: rec.bounds,
+            verdict: rec.verdict,
+            screen: rec.screen,
+        })
     }
 
-    /// Cache/engine counters for the `--json` summary record.
+    /// The `sweep cache: H hits / M misses (C certified)` line, or `None`
+    /// on the direct path.
+    pub fn summary(&self) -> Option<String> {
+        self.cache.as_ref()?;
+        let s = self.stats.get();
+        Some(format!(
+            "sweep cache: {} hits / {} misses ({} certified)",
+            s.cache_hits, s.cache_misses, s.computed
+        ))
+    }
+
+    /// Cache counters for the `--json` summary record (empty on the
+    /// direct path).
     pub fn key_metrics(&self) -> Vec<(String, f64)> {
+        if self.cache.is_none() {
+            return Vec::new();
+        }
+        let s = self.stats.get();
         metrics(&[
-            ("sweep_cache_hits", self.stats.cache_hits as f64),
-            ("sweep_cache_misses", self.stats.cache_misses as f64),
-            ("sweep_computed", self.stats.computed as f64),
-            ("sweep_errors", self.stats.errors as f64),
-            ("sweep_corrupt_records", self.stats.corrupt_records as f64),
-            ("sweep_resumed_shards", self.stats.resumed_shards as f64),
-            ("sweep_lookup_fallbacks", self.fallbacks.get() as f64),
+            ("sweep_cache_hits", s.cache_hits as f64),
+            ("sweep_cache_misses", s.cache_misses as f64),
+            ("sweep_computed", s.computed as f64),
+            ("sweep_corrupt_records", s.corrupt_records as f64),
         ])
     }
 }
@@ -516,17 +512,51 @@ mod tests {
 
     #[test]
     fn parse_cache_and_resume() -> Result<(), String> {
-        let a = RunArgs::parse(
-            ["--cache", "/tmp/sweep-cache", "--resume"]
-                .iter()
-                .map(|s| s.to_string()),
-        )?;
+        let a = RunArgs::parse(["--cache", "/tmp/sweep-cache"].iter().map(|s| s.to_string()))?;
         assert_eq!(a.cache, Some(PathBuf::from("/tmp/sweep-cache")));
-        assert!(a.resume);
-        assert!(!RunArgs::default().resume);
+        assert!(RunArgs::default().cache.is_none());
         assert!(RunArgs::parse(["--cache".to_string()]).is_err());
-        // --resume without --cache has no checkpoint to resume from.
+        // No `--resume`: rerunning over the same cache directory resumes.
         assert!(RunArgs::parse(["--resume".to_string()]).is_err());
+        Ok(())
+    }
+
+    #[test]
+    fn cached_certifier_matches_direct_certify_cold_and_warm(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        use overrun_control::{pi, plants, IntervalSet};
+        let plant = plants::unstable_second_order();
+        let table = pi::design_adaptive(&plant, &IntervalSet::from_timing(0.010, 0.013, 2)?)?;
+        let opts = CertifyOptions::default();
+        let dir = std::env::temp_dir().join(format!("overrun-bench-cert-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let args = RunArgs {
+            cache: Some(dir.clone()),
+            ..RunArgs::default()
+        };
+        // One worker: the screening counters depend on scheduling.
+        overrun_par::set_thread_override(Some(1));
+        let run = || -> overrun_control::Result<_> {
+            let direct = stability::certify(&plant, &table, &opts)?;
+            let cold_certifier = args.certifier("test");
+            let cold = cold_certifier.certify(&plant, &table, &opts)?;
+            let warm_certifier = args.certifier("test");
+            let warm = warm_certifier.certify(&plant, &table, &opts)?;
+            Ok((direct, cold, cold_certifier.summary(), warm, warm_certifier.summary()))
+        };
+        let result = run();
+        overrun_par::set_thread_override(None);
+        let _ = std::fs::remove_dir_all(&dir);
+        let (direct, cold, cold_line, warm, warm_line) = result?;
+        for (what, via) in [("cold", &cold), ("warm", &warm)] {
+            assert_eq!(via.verdict, direct.verdict, "{what}");
+            assert_eq!(via.bounds.lower.to_bits(), direct.bounds.lower.to_bits(), "{what}");
+            assert_eq!(via.bounds.upper.to_bits(), direct.bounds.upper.to_bits(), "{what}");
+            assert_eq!(via.screen, direct.screen, "{what}");
+        }
+        assert_eq!(cold_line.as_deref(), Some("sweep cache: 0 hits / 1 misses (1 certified)"));
+        assert_eq!(warm_line.as_deref(), Some("sweep cache: 1 hits / 0 misses (0 certified)"));
+        assert_eq!(RunArgs::default().certifier("test").summary(), None);
         Ok(())
     }
 

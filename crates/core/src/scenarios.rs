@@ -10,15 +10,15 @@ use overrun_linalg::Matrix;
 use crate::lqr::LqrWeights;
 use crate::metrics::{evaluate_worst_case, WorstCaseOptions};
 use crate::sim::{ClosedLoopSim, SimScenario};
-use crate::stability::{certify, CertifyOptions, StabilityReport};
+use crate::stability::{CertifyOptions, StabilityReport};
 use crate::{pi, ContinuousSs, ControllerTable, IntervalSet, Result};
 
 /// The certification hook of the `*_with` experiment drivers: same
-/// signature as [`crate::stability::certify`]. The bench binaries inject a
-/// cache-backed lookup here (`overrun-sweep`); the plain drivers pass the
-/// real certifier. Implementations must be *observationally identical* to
-/// `certify` for the tables the driver requests — the CSV outputs are
-/// pinned byte-identical across both paths.
+/// signature as [`crate::stability::certify`], which callers pass directly
+/// (`&stability::certify`). The bench binaries inject a cache-through
+/// certifier here (`overrun-sweep`) under `--cache`. Implementations must
+/// be *observationally identical* to `certify` for the tables the driver
+/// requests — the CSV outputs are pinned byte-identical across both paths.
 pub type CertifyFn<'a> =
     &'a dyn Fn(&ContinuousSs, &ControllerTable, &CertifyOptions) -> Result<StabilityReport>;
 
@@ -161,73 +161,14 @@ pub struct Table2Row {
 
 /// Runs the Table II experiment: an LQR-controlled plant (the PMSM in the
 /// paper) with period `t`, comparing the adaptive design against fixed-gain
-/// and fixed-period baselines, and certifying the adaptive design's JSR.
+/// and fixed-period baselines, and certifying the adaptive design's JSR
+/// through `certify_fn` (see [`CertifyFn`]).
 ///
 /// Costs are the time-integrated `Σ‖e‖²·h_k` so that runs with different
 /// sampling periods are comparable. Note that a fixed job count means
 /// overrun-laden runs integrate over a somewhat longer physical horizon;
 /// this is negligible here because the regulation error has decayed to
 /// ~zero well within the 50-job window (see `EXPERIMENTS.md`, notes).
-///
-/// # Errors
-///
-/// Propagates design, certification and simulation failures.
-pub fn table2(
-    plant: &ContinuousSs,
-    t: f64,
-    weights: &LqrWeights,
-    x0: &Matrix,
-    cfg: &ExperimentConfig,
-) -> Result<Vec<Table2Row>> {
-    table2_with(plant, t, weights, x0, cfg, &|p, tb, o| certify(p, tb, o))
-}
-
-/// The three adaptively-executed controller tables of one Table II cell:
-/// `(adaptive, fixed_t, fixed_rmax)`. Shared between [`table2_with`] and
-/// [`table2_certifications`] so the declarative scenario list can never
-/// drift from what the driver actually certifies.
-fn table2_cell_tables(
-    plant: &ContinuousSs,
-    t: f64,
-    weights: &LqrWeights,
-    factor: f64,
-    ns: u32,
-) -> Result<(ControllerTable, ControllerTable, ControllerTable)> {
-    let rmax = factor * t;
-    let hset = IntervalSet::from_timing(t, rmax, ns)?;
-    let adaptive = crate::lqr::design_adaptive(plant, &hset, weights)?;
-    let fixed_t = crate::lqr::design_fixed(plant, &hset, weights, t)?;
-    let fixed_rmax = crate::lqr::design_fixed(plant, &hset, weights, rmax)?;
-    Ok((adaptive, fixed_t, fixed_rmax))
-}
-
-/// Enumerates every distinct certification [`table2_with`] will request
-/// (three tables per `(Rmax, Ns)` cell, all at the default budget), with
-/// human labels — the input of the `overrun-sweep` batch engine.
-///
-/// # Errors
-///
-/// Propagates design failures.
-pub fn table2_certifications(
-    plant: &ContinuousSs,
-    t: f64,
-    weights: &LqrWeights,
-    cfg: &ExperimentConfig,
-) -> Result<Vec<(String, ControllerTable)>> {
-    let mut out = Vec::new();
-    for &factor in &cfg.rmax_factors {
-        for &ns in &cfg.ns_values {
-            let (adaptive, fixed_t, fixed_rmax) =
-                table2_cell_tables(plant, t, weights, factor, ns)?;
-            out.push((format!("table2 r{factor} ns{ns} lqr-adaptive"), adaptive));
-            out.push((format!("table2 r{factor} ns{ns} lqr-fixed-t"), fixed_t));
-            out.push((format!("table2 r{factor} ns{ns} lqr-fixed-rmax"), fixed_rmax));
-        }
-    }
-    Ok(out)
-}
-
-/// [`table2`] with an injected certifier (see [`CertifyFn`]).
 ///
 /// # Errors
 ///
@@ -246,8 +187,10 @@ pub fn table2_with(
     for &factor in &cfg.rmax_factors {
         for &ns in &cfg.ns_values {
             let rmax = factor * t;
-            let (adaptive, fixed_t, fixed_rmax) =
-                table2_cell_tables(plant, t, weights, factor, ns)?;
+            let hset = IntervalSet::from_timing(t, rmax, ns)?;
+            let adaptive = crate::lqr::design_adaptive(plant, &hset, weights)?;
+            let fixed_t = crate::lqr::design_fixed(plant, &hset, weights, t)?;
+            let fixed_rmax = crate::lqr::design_fixed(plant, &hset, weights, rmax)?;
 
             let report = certify_fn(plant, &adaptive, &CertifyOptions::default())?;
 
@@ -327,46 +270,8 @@ pub struct GranularityRow {
 /// Sweeps the sensor oversampling factor `Ns` at fixed `Rmax`, measuring
 /// the three quantities the paper's Sec. V-B trades off: analysis size
 /// (`#H`), stability margin (JSR upper bound) and performance (`J_w`),
-/// plus the resource-efficiency proxy `Δmax − (Rmax − T)`.
-///
-/// # Errors
-///
-/// Propagates design, certification and simulation failures.
-pub fn granularity_sweep(
-    plant: &ContinuousSs,
-    t: f64,
-    rmax_factor: f64,
-    ns_values: &[u32],
-    cfg: &ExperimentConfig,
-) -> Result<Vec<GranularityRow>> {
-    granularity_sweep_with(plant, t, rmax_factor, ns_values, cfg, &|p, tb, o| {
-        certify(p, tb, o)
-    })
-}
-
-/// Enumerates every certification [`granularity_sweep_with`] will request
-/// (one adaptive PI table per `Ns`, default budget), with human labels.
-///
-/// # Errors
-///
-/// Propagates design failures.
-pub fn granularity_certifications(
-    plant: &ContinuousSs,
-    t: f64,
-    rmax_factor: f64,
-    ns_values: &[u32],
-) -> Result<Vec<(String, ControllerTable)>> {
-    let rmax = rmax_factor * t;
-    let mut out = Vec::with_capacity(ns_values.len());
-    for &ns in ns_values {
-        let hset = IntervalSet::from_timing(t, rmax, ns)?;
-        let table = pi::design_adaptive(plant, &hset)?;
-        out.push((format!("granularity r{rmax_factor} ns{ns} pi-adaptive"), table));
-    }
-    Ok(out)
-}
-
-/// [`granularity_sweep`] with an injected certifier (see [`CertifyFn`]).
+/// plus the resource-efficiency proxy `Δmax − (Rmax − T)`. Certifications
+/// go through `certify_fn` (see [`CertifyFn`]).
 ///
 /// # Errors
 ///
@@ -459,6 +364,7 @@ pub fn format_table2(rows: &[Table2Row]) -> String {
 mod tests {
     use super::*;
     use crate::plants;
+    use crate::stability::certify;
 
     #[test]
     fn table1_smoke_has_expected_shape() {
@@ -493,7 +399,7 @@ mod tests {
             jobs_per_sequence: 50,
             seed: 1,
         };
-        let rows = table2(&plant, 50e-6, &weights, &x0, &cfg).unwrap();
+        let rows = table2_with(&plant, 50e-6, &weights, &x0, &cfg, &certify).unwrap();
         assert_eq!(rows.len(), 1);
         let r = &rows[0];
         // The adaptive design must be certified stable.

@@ -53,17 +53,6 @@ fn lifted_set(plant: &ContinuousSs, table: &ControllerTable) -> Result<MatrixSet
     Ok(MatrixSet::new(omegas)?)
 }
 
-/// Maps certified bounds to the three-way verdict.
-fn verdict_from(bounds: &JsrBounds) -> StabilityVerdict {
-    if bounds.certifies_stable() {
-        StabilityVerdict::Stable
-    } else if bounds.certifies_unstable() {
-        StabilityVerdict::Unstable
-    } else {
-        StabilityVerdict::Unknown
-    }
-}
-
 /// Certifies closed-loop stability of a (plant, controller table) pair under
 /// **every** admissible overrun pattern, by bounding the joint spectral
 /// radius of the lifted matrices `{Ω(h) : h ∈ H}` with Gripenberg's
@@ -114,10 +103,9 @@ pub fn certify(
             decision_threshold: Some(1.0),
         },
     )?;
-    let verdict = verdict_from(&bounds);
     Ok(StabilityReport {
+        verdict: bounds.verdict(),
         bounds,
-        verdict,
         screen,
     })
 }
@@ -163,10 +151,9 @@ pub fn certify_constrained(
             ..Default::default()
         },
     )?;
-    let verdict = verdict_from(&bounds);
     Ok(StabilityReport {
+        verdict: bounds.verdict(),
         bounds,
-        verdict,
         screen: ScreenStats::default(),
     })
 }

@@ -11,8 +11,8 @@
 //! * [`gripenberg`] — Gripenberg's branch-and-bound algorithm, which prunes
 //!   the product tree with a user-chosen gap `δ` and returns a certified
 //!   interval `[LB, UB]` with `UB − LB ≤ δ` on termination;
-//! * [`decide_stability`] — an early-exit wrapper answering the only
-//!   question the control designer cares about: is `ρ < 1`?
+//! * [`JsrBounds::verdict`] — the answer to the only question the control
+//!   designer cares about: is `ρ < 1`?
 //!
 //! All bounds are invariant under a common similarity transform; a cheap
 //! diagonal [`precondition`] based on joint balancing is applied internally
@@ -85,6 +85,17 @@ impl JsrBounds {
     pub fn certifies_unstable(&self) -> bool {
         self.lower >= 1.0
     }
+
+    /// The three-way stability verdict these bounds certify.
+    pub fn verdict(&self) -> StabilityVerdict {
+        if self.certifies_stable() {
+            StabilityVerdict::Stable
+        } else if self.certifies_unstable() {
+            StabilityVerdict::Unstable
+        } else {
+            StabilityVerdict::Unknown
+        }
+    }
 }
 
 impl std::fmt::Display for JsrBounds {
@@ -93,7 +104,7 @@ impl std::fmt::Display for JsrBounds {
     }
 }
 
-/// Verdict of the early-exit stability decision.
+/// Stability verdict certified by a [`JsrBounds`] interval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StabilityVerdict {
     /// `ρ < 1` certified: every switching sequence converges.
@@ -111,24 +122,6 @@ impl std::fmt::Display for StabilityVerdict {
             StabilityVerdict::Unstable => write!(f, "unstable"),
             StabilityVerdict::Unknown => write!(f, "unknown"),
         }
-    }
-}
-
-/// Decides asymptotic stability of the switching system defined by `set`,
-/// using Gripenberg bounds with the budget in `opts`.
-///
-/// # Errors
-///
-/// Propagates numerical errors from the underlying eigenvalue and norm
-/// computations.
-pub fn decide_stability(set: &MatrixSet, opts: &GripenbergOptions) -> Result<StabilityVerdict> {
-    let bounds = gripenberg(set, opts)?;
-    if bounds.certifies_stable() {
-        Ok(StabilityVerdict::Stable)
-    } else if bounds.certifies_unstable() {
-        Ok(StabilityVerdict::Unstable)
-    } else {
-        Ok(StabilityVerdict::Unknown)
     }
 }
 
@@ -150,17 +143,19 @@ mod tests {
     }
 
     #[test]
-    fn decide_stability_stable_singleton() {
-        let set = MatrixSet::new(vec![Matrix::diag(&[0.5, 0.25])]).unwrap();
-        let verdict = decide_stability(&set, &GripenbergOptions::default()).unwrap();
+    fn decide_stability_stable_singleton() -> Result<()> {
+        let set = MatrixSet::new(vec![Matrix::diag(&[0.5, 0.25])])?;
+        let verdict = gripenberg(&set, &GripenbergOptions::default())?.verdict();
         assert_eq!(verdict, StabilityVerdict::Stable);
+        Ok(())
     }
 
     #[test]
-    fn decide_stability_unstable_singleton() {
-        let set = MatrixSet::new(vec![Matrix::diag(&[1.5, 0.25])]).unwrap();
-        let verdict = decide_stability(&set, &GripenbergOptions::default()).unwrap();
+    fn decide_stability_unstable_singleton() -> Result<()> {
+        let set = MatrixSet::new(vec![Matrix::diag(&[1.5, 0.25])])?;
+        let verdict = gripenberg(&set, &GripenbergOptions::default())?.verdict();
         assert_eq!(verdict, StabilityVerdict::Unstable);
+        Ok(())
     }
 
     #[test]

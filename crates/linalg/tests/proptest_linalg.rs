@@ -2,7 +2,7 @@
 
 use overrun_linalg::{
     eigenvalues, expm, expm_integral, norm_1, norm_2, norm_fro, norm_inf, solve_discrete_lyapunov,
-    solve_discrete_lyapunov_direct, spectral_radius, Cholesky, Lu, Matrix, Qr,
+    solve_discrete_lyapunov_direct, spectral_radius, Cholesky, Lu, Matrix,
 };
 use proptest::prelude::*;
 
@@ -53,14 +53,6 @@ proptest! {
         let db = b.det().unwrap();
         let scale = da.abs().max(1.0) * db.abs().max(1.0);
         prop_assert!((dab - da * db).abs() < 1e-9 * scale);
-    }
-
-    #[test]
-    fn qr_orthogonal_and_reconstructs(a in square_matrix(4, 3.0)) {
-        let qr = Qr::new(&a).unwrap();
-        let qtq = qr.q().transpose() * qr.q();
-        prop_assert!(qtq.approx_eq(&Matrix::identity(4), 1e-10, 1e-10));
-        prop_assert!((qr.q() * qr.r()).approx_eq(&a, 1e-9, 1e-9));
     }
 
     #[test]

@@ -54,11 +54,6 @@ impl ResultCache {
         self.dir.join(format!("{}.record", key.to_hex()))
     }
 
-    /// Path of the sweep checkpoint file inside this cache.
-    pub fn checkpoint_path(&self) -> PathBuf {
-        self.dir.join("checkpoint.sweep")
-    }
-
     /// Probes the cache for `key`, verifying record integrity.
     ///
     /// # Errors

@@ -1,10 +1,8 @@
-//! The batch certification engine: sharding, memoization, checkpointing,
-//! fault isolation.
+//! The batch certification engine: memoization and fault isolation.
 //!
-//! A sweep walks its prepared scenarios shard by shard. Within a shard,
-//! scenarios run on the `overrun-par` workers (order-preserving, so the
-//! report is bit-identical at any thread count); across shards the engine
-//! is sequential so the checkpoint advances monotonically. Per scenario:
+//! A sweep maps its prepared scenarios over the `overrun-par` workers in
+//! one order-preserving pass, so the report is bit-identical at any
+//! thread count. Per scenario:
 //!
 //! 1. probe the content-addressed cache (hit → done, corrupt → recompute
 //!    and overwrite);
@@ -16,13 +14,14 @@
 //!    [`ScenarioError`] in the report while the sweep continues;
 //! 4. on success, store the record atomically.
 //!
-//! A shard is checkpointed only when every scenario in it succeeded, so a
-//! rerun retries faulted scenarios. Killing the process at any point loses
-//! at most the in-flight shard's uncached scenarios: `--resume` replays
-//! hits from the cache (each record re-verified on load) and recomputes
-//! the rest, converging to the uninterrupted result.
+//! The record cache is also the resume mechanism. Faults are never
+//! stored, so a rerun retries them. Killing the process loses only the
+//! records not yet stored; a rerun over the same cache replays every
+//! stored record (each re-verified on load) and recomputes the rest,
+//! converging to the uninterrupted result. At one worker the scenarios
+//! run in grid order, so a later scenario with a duplicate key hits the
+//! record an earlier one stored.
 
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
@@ -30,22 +29,16 @@ use overrun_control::stability::{self, CertifyOptions, StabilityReport};
 use overrun_control::{ContinuousSs, ControllerTable};
 
 use crate::cache::{CacheProbe, ResultCache};
-use crate::checkpoint::{self, Checkpoint, GridId};
 use crate::error::{ScenarioError, ScenarioFault, SweepError};
 use crate::hash::ContentHash;
 use crate::record::ScenarioRecord;
-use crate::scenario::{certification_key, grid_key, PreparedScenario};
+use crate::scenario::PreparedScenario;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
-    /// Cache directory; `None` disables memoization and checkpointing.
+    /// Cache directory; `None` disables memoization.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Resume from the checkpoint in the cache directory when it matches
-    /// the current grid (otherwise start fresh).
-    pub resume: bool,
-    /// Scenarios per shard (checkpoint granularity).
-    pub shard_size: usize,
     /// Retry a faulted scenario once with a tightened budget.
     pub retry: bool,
 }
@@ -54,8 +47,6 @@ impl Default for SweepOptions {
     fn default() -> Self {
         SweepOptions {
             cache_dir: None,
-            resume: false,
-            shard_size: 8,
             retry: true,
         }
     }
@@ -66,10 +57,6 @@ impl Default for SweepOptions {
 pub struct SweepStats {
     /// Scenarios in the grid.
     pub scenarios: usize,
-    /// Shards the grid was split into.
-    pub shards: usize,
-    /// Shards already marked complete by the checkpoint on entry.
-    pub resumed_shards: usize,
     /// Scenarios answered by the cache.
     pub cache_hits: u64,
     /// Scenarios not found in the cache (computed; only counted when a
@@ -119,63 +106,6 @@ impl SweepReport {
             .filter_map(|o| o.result.as_ref().err())
             .collect()
     }
-
-    /// Builds a key → record lookup over the successful outcomes.
-    pub fn lookup(&self) -> CertLookup {
-        let mut entries: Vec<(ContentHash, ScenarioRecord)> = self
-            .outcomes
-            .iter()
-            .filter_map(|o| o.result.as_ref().ok().map(|r| (o.key, r.clone())))
-            .collect();
-        entries.sort_by_key(|(k, _)| *k);
-        entries.dedup_by_key(|(k, _)| *k);
-        CertLookup { entries }
-    }
-}
-
-/// Sorted key → record map for answering `certify` calls from a completed
-/// sweep (the bridge the bench binaries use: they keep their existing
-/// `(plant, table, opts)` call sites and the lookup addresses the engine's
-/// results by content key).
-#[derive(Debug, Clone, Default)]
-pub struct CertLookup {
-    entries: Vec<(ContentHash, ScenarioRecord)>,
-}
-
-impl CertLookup {
-    /// Number of distinct cached certifications.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the lookup is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Fetches the record for a key.
-    pub fn get(&self, key: ContentHash) -> Option<&ScenarioRecord> {
-        self.entries
-            .binary_search_by_key(&key, |(k, _)| *k)
-            .ok()
-            .map(|i| &self.entries[i].1)
-    }
-
-    /// Answers a certification from the sweep results, keyed exactly like
-    /// the engine keyed its scenarios.
-    pub fn report_for(
-        &self,
-        plant: &ContinuousSs,
-        table: &ControllerTable,
-        opts: &CertifyOptions,
-    ) -> Option<StabilityReport> {
-        self.get(certification_key(plant, table, opts))
-            .map(|rec| StabilityReport {
-                bounds: rec.bounds,
-                verdict: rec.verdict,
-                screen: rec.screen,
-            })
-    }
 }
 
 /// The function a sweep runs per scenario — [`run_sweep`] plugs in
@@ -203,8 +133,8 @@ pub fn tightened_budget(opts: &CertifyOptions) -> CertifyOptions {
 ///
 /// # Errors
 ///
-/// Returns [`SweepError`] only for infrastructure failures (cache or
-/// checkpoint I/O); per-scenario faults land in the report.
+/// Returns [`SweepError`] only for infrastructure failures (cache I/O);
+/// per-scenario faults land in the report.
 pub fn run_sweep(
     scenarios: &[PreparedScenario],
     opts: &SweepOptions,
@@ -228,84 +158,31 @@ pub fn run_sweep_with(
         Some(dir) => Some(ResultCache::open(dir)?),
         None => None,
     };
-    let shard_size = opts.shard_size.max(1);
-    let num_shards = scenarios.len().div_ceil(shard_size);
-    let id = GridId {
-        grid: grid_key(scenarios),
-        shard_size,
-        scenarios: scenarios.len(),
-    };
-
-    // Checkpoint: resume only a checkpoint written for this exact grid.
-    let mut completed: BTreeSet<usize> = BTreeSet::new();
-    let mut ckpt: Option<Checkpoint> = None;
-    if let Some(cache) = &cache {
-        let path = cache.checkpoint_path();
-        if opts.resume {
-            if let Some(done) = checkpoint::load_completed(&path, &id)? {
-                completed = done;
-                ckpt = Some(Checkpoint::append_to(&path)?);
-            }
-        }
-        if ckpt.is_none() {
-            ckpt = Some(Checkpoint::create(&path, &id)?);
-        }
-    }
+    let outcomes = overrun_par::try_parallel_map(scenarios, |i, s| {
+        run_one(i, s, cache.as_ref(), opts.retry, runner)
+    })?;
 
     let mut stats = SweepStats {
         scenarios: scenarios.len(),
-        shards: num_shards,
-        resumed_shards: completed.len(),
         ..SweepStats::default()
     };
-    let mut outcomes: Vec<ScenarioOutcome> = Vec::with_capacity(scenarios.len());
-
-    for shard in 0..num_shards {
-        let lo = shard * shard_size;
-        let hi = (lo + shard_size).min(scenarios.len());
-        let slice = &scenarios[lo..hi];
-        let shard_outcomes = overrun_par::try_parallel_map(slice, |i, s| {
-            run_one(lo + i, s, cache.as_ref(), opts.retry, runner)
-        })?;
-
-        let mut clean = true;
-        for o in &shard_outcomes {
-            match &o.result {
-                Ok(_) => {
-                    if o.from_cache {
-                        stats.cache_hits += 1;
-                    } else {
-                        stats.computed += 1;
-                        if cache.is_some() {
-                            stats.cache_misses += 1;
-                        }
-                        if o.result.as_ref().is_ok_and(|r| r.attempts > 1) {
-                            stats.retried += 1;
-                        }
-                    }
-                }
-                Err(_) => {
-                    clean = false;
-                    stats.computed += 1;
-                    stats.errors += 1;
-                    if cache.is_some() {
-                        stats.cache_misses += 1;
-                    }
-                }
-            }
-            if o.replaced_corrupt {
-                stats.corrupt_records += 1;
-            }
+    for o in &outcomes {
+        if o.from_cache {
+            stats.cache_hits += 1;
+            continue;
         }
-        outcomes.extend(shard_outcomes);
-
-        // Checkpoint only fully-successful shards, so reruns retry faults.
-        if clean && !completed.contains(&shard) {
-            if let Some(ck) = ckpt.as_mut() {
-                ck.mark_done(shard)?;
-            }
+        stats.computed += 1;
+        if cache.is_some() {
+            stats.cache_misses += 1;
         }
-        overrun_trace::progress!("sweep.shards_done", (shard + 1) as f64);
+        if o.replaced_corrupt {
+            stats.corrupt_records += 1;
+        }
+        match &o.result {
+            Ok(rec) if rec.attempts > 1 => stats.retried += 1,
+            Ok(_) => {}
+            Err(_) => stats.errors += 1,
+        }
     }
 
     overrun_trace::counter!("sweep.cache_hits", stats.cache_hits);

@@ -1,10 +1,10 @@
 //! Error types of the sweep engine.
 //!
 //! Two layers, deliberately separate: [`SweepError`] is *infrastructure*
-//! failure (I/O, corrupt state files, an unbuildable grid) and aborts the
-//! sweep; [`ScenarioError`] is a *per-scenario* fault (a certification
-//! that diverged, errored, or tripped the `sanitize` poison) and is
-//! recorded in the report while the rest of the sweep proceeds.
+//! failure (cache I/O) and aborts the sweep; [`ScenarioError`] is a
+//! *per-scenario* fault (a certification that diverged, errored, or
+//! tripped the `sanitize` poison) and is recorded in the report while the
+//! rest of the sweep proceeds.
 
 use std::fmt;
 use std::path::PathBuf;
@@ -15,7 +15,7 @@ use crate::hash::ContentHash;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum SweepError {
-    /// A filesystem operation on cache or checkpoint state failed.
+    /// A filesystem operation on the cache failed.
     Io {
         /// File or directory the operation targeted.
         path: PathBuf,
@@ -24,7 +24,7 @@ pub enum SweepError {
         /// Underlying error message.
         msg: String,
     },
-    /// A cache record or checkpoint file does not parse.
+    /// A cache record does not parse.
     Parse {
         /// File that failed to parse.
         path: PathBuf,
@@ -33,9 +33,6 @@ pub enum SweepError {
         /// What was expected.
         msg: String,
     },
-    /// The scenario grid itself is invalid (e.g. a design that cannot be
-    /// materialized deterministically into keys).
-    Grid(String),
 }
 
 impl fmt::Display for SweepError {
@@ -47,7 +44,6 @@ impl fmt::Display for SweepError {
             SweepError::Parse { path, line, msg } => {
                 write!(f, "corrupt record {}:{line}: {msg}", path.display())
             }
-            SweepError::Grid(msg) => write!(f, "invalid sweep grid: {msg}"),
         }
     }
 }

@@ -1,4 +1,4 @@
-//! # overrun-sweep — resumable batch certification sweeps
+//! # overrun-sweep — memoized batch certification sweeps
 //!
 //! The paper's workflow certifies `JSR({Ω(h) : h ∈ H}) < 1` for every
 //! candidate design point (plant × `Rmax` × `Ns` × policy) — an
@@ -17,21 +17,21 @@
 //!   ([`certification_key`]). Records round-trip byte-exactly
 //!   ([`ScenarioRecord`]), in the same human-readable-but-exact style as
 //!   the trace JSONL.
-//! - **Deterministic sharding** ([`run_sweep`]): scenarios run on the
+//! - **Deterministic parallelism** ([`run_sweep`]): scenarios run on the
 //!   `overrun-par` workers, order-preserving, so sweep reports are
 //!   bit-identical at any thread count.
-//! - **Checkpointed resume**: a killed sweep resumes from the last
-//!   completed shard ([`SweepOptions::resume`]), re-verifying every cache
-//!   record it replays.
+//! - **Resume through the cache**: a killed sweep rerun over the same
+//!   cache directory replays every stored record (re-verified on load)
+//!   and recomputes only what the kill lost.
 //! - **Fault isolation**: a diverging or `sanitize`-poisoned scenario is
 //!   caught (`catch_unwind`), retried once at a tightened budget, and on a
 //!   second fault recorded as a structured [`ScenarioError`] while the
 //!   sweep continues.
 //!
-//! The bench binaries (`table2`, `ts_tradeoff`) route their certifications
-//! through [`CertLookup`], so `--cache DIR` runs hit the same records the
-//! declarative path writes — their CSV output stays byte-identical to the
-//! direct path.
+//! The bench binaries (`table2`, `ts_tradeoff`) send each certification
+//! through [`run_sweep`] over a one-scenario slice when run with
+//! `--cache DIR`, so they hit the same records the declarative path
+//! writes — their CSV output stays byte-identical to the direct path.
 //!
 //! ```
 //! use overrun_control::{plants, stability::CertifyOptions};
@@ -70,7 +70,6 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod checkpoint;
 mod engine;
 mod error;
 mod hash;
@@ -78,14 +77,13 @@ mod record;
 mod scenario;
 
 pub use cache::{CacheProbe, ResultCache};
-pub use checkpoint::{load_completed, Checkpoint, GridId, CHECKPOINT_HEADER};
 pub use engine::{
-    run_sweep, run_sweep_with, tightened_budget, CertLookup, CertifyRunner, ScenarioOutcome,
-    SweepOptions, SweepReport, SweepStats,
+    run_sweep, run_sweep_with, tightened_budget, CertifyRunner, ScenarioOutcome, SweepOptions,
+    SweepReport, SweepStats,
 };
 pub use error::{ScenarioError, ScenarioFault, SweepError};
 pub use hash::{Canon, ContentHash};
 pub use record::{ScenarioRecord, RECORD_HEADER};
 pub use scenario::{
-    certification_key, grid_key, DesignPolicy, GainSchedule, GridSpec, PreparedScenario, Scenario,
+    certification_key, DesignPolicy, GainSchedule, GridSpec, PreparedScenario, Scenario,
 };

@@ -169,7 +169,7 @@ impl ScenarioRecord {
     }
 }
 
-/// Minimal strict line parser shared by record and checkpoint formats.
+/// Minimal strict line parser of the record format.
 struct Parser<'a> {
     lines: std::iter::Enumerate<std::str::Lines<'a>>,
     path: &'a Path,

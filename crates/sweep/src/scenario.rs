@@ -257,19 +257,6 @@ pub fn certification_key(
     c.finish()
 }
 
-/// Hash identifying a whole prepared grid (order-sensitive over the
-/// scenario keys) — the checkpoint's validity token.
-pub fn grid_key(scenarios: &[PreparedScenario]) -> ContentHash {
-    let mut c = Canon::new();
-    c.tag("overrun-sweep-grid");
-    c.u64_field(scenarios.len() as u64);
-    for s in scenarios {
-        c.u64_field(s.key.0 as u64);
-        c.u64_field((s.key.0 >> 64) as u64);
-    }
-    c.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,5 @@
-//! Engine behavior tests: fault isolation, tightened-budget retry,
-//! checkpointing, cache integrity re-verification, resume-after-kill.
+//! Engine behavior tests: fault isolation, tightened-budget retry, cache
+//! integrity re-verification, resume-after-kill through the cache.
 //!
 //! These use an injected [`CertifyRunner`] (the engine's fault seam), so
 //! they are fast and exercise the engine logic — the differential oracle
@@ -9,11 +9,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use overrun_control::stability::{CertifyOptions, StabilityReport};
-use overrun_control::{plants, stability};
+use overrun_control::plants;
 use overrun_jsr::{JsrBounds, ScreenStats, StabilityVerdict};
-use overrun_sweep::{
-    run_sweep_with, DesignPolicy, GridSpec, SweepOptions,
-};
+use overrun_sweep::{run_sweep_with, DesignPolicy, GridSpec, SweepOptions};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -139,7 +137,6 @@ fn warm_cache_reports_all_hits_and_identical_records() {
     let scenarios = grid(4);
     let opts = SweepOptions {
         cache_dir: Some(dir.clone()),
-        shard_size: 2,
         ..SweepOptions::default()
     };
     let runner: overrun_sweep::CertifyRunner =
@@ -179,20 +176,16 @@ fn kill_and_resume_converges_to_uninterrupted_result() {
         &scenarios,
         &SweepOptions {
             cache_dir: Some(dir_full.clone()),
-            shard_size: 2,
             ..SweepOptions::default()
         },
         runner,
     )
     .expect("reference run");
 
-    // "Killed" run: complete, then simulate the kill by deleting the
-    // records of the last two shards and truncating the checkpoint to its
-    // first completion line (plus a torn tail).
+    // "Killed" run: complete, then simulate a kill after the first two
+    // scenarios by deleting the records the kill would have lost.
     let opts_kill = SweepOptions {
         cache_dir: Some(dir_kill.clone()),
-        shard_size: 2,
-        resume: true,
         ..SweepOptions::default()
     };
     let first = run_sweep_with(&scenarios, &opts_kill, runner).expect("first run");
@@ -201,17 +194,9 @@ fn kill_and_resume_converges_to_uninterrupted_result() {
         std::fs::remove_file(dir_kill.join(format!("{}.record", o.key.to_hex())))
             .expect("remove record");
     }
-    let ckpt = dir_kill.join("checkpoint.sweep");
-    let text = std::fs::read_to_string(&ckpt).expect("read checkpoint");
-    let keep: String = {
-        let pos = text.find("shard 0 ok\n").expect("has shard 0") + "shard 0 ok\n".len();
-        format!("{}shard 1 o", &text[..pos]) // torn tail from the kill
-    };
-    std::fs::write(&ckpt, keep).expect("truncate checkpoint");
 
-    // Resume: shard 0 replays from cache, shards 1–2 recompute.
+    // Rerun: the two stored records replay, the other four recompute.
     let resumed = run_sweep_with(&scenarios, &opts_kill, runner).expect("resumed run");
-    assert_eq!(resumed.stats.resumed_shards, 1);
     assert_eq!(resumed.stats.cache_hits, 2);
     assert_eq!(resumed.stats.computed, 4);
     assert_eq!(resumed.outcomes.len(), reference.outcomes.len());
@@ -226,12 +211,36 @@ fn kill_and_resume_converges_to_uninterrupted_result() {
 }
 
 #[test]
+fn duplicate_keys_hit_the_earlier_record_at_one_worker() {
+    let dir = tmp_dir("duplicates");
+    let one = grid(1);
+    let scenarios = vec![one[0].clone(), one[0].clone()];
+    let runner: overrun_sweep::CertifyRunner =
+        &|_, t: &overrun_control::ControllerTable, _: &CertifyOptions| Ok(fake_report(t));
+    overrun_par::set_thread_override(Some(1));
+    let report = run_sweep_with(
+        &scenarios,
+        &SweepOptions {
+            cache_dir: Some(dir.clone()),
+            ..SweepOptions::default()
+        },
+        runner,
+    );
+    overrun_par::set_thread_override(None);
+    let report = report.expect("sweep");
+    assert_eq!(report.stats.computed, 1);
+    assert_eq!(report.stats.cache_hits, 1);
+    assert!(!report.outcomes[0].from_cache);
+    assert!(report.outcomes[1].from_cache);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn corrupt_record_is_reverified_and_replaced_on_load() {
     let dir = tmp_dir("corrupt-reload");
     let scenarios = grid(2);
     let opts = SweepOptions {
         cache_dir: Some(dir.clone()),
-        resume: true,
         ..SweepOptions::default()
     };
     let runner: overrun_sweep::CertifyRunner =
@@ -255,18 +264,15 @@ fn corrupt_record_is_reverified_and_replaced_on_load() {
 }
 
 #[test]
-fn erroring_shards_are_not_checkpointed_and_retry_on_rerun() {
-    let dir = tmp_dir("error-shard");
+fn faulted_scenarios_are_not_cached_and_retry_on_rerun() {
+    let dir = tmp_dir("fault-rerun");
     let scenarios = grid(4);
     let opts = SweepOptions {
         cache_dir: Some(dir.clone()),
-        shard_size: 2,
-        resume: true,
         retry: false,
     };
     let bad = scenarios[3].key;
-    // First run: last scenario faults → shard 1 must not be checkpointed
-    // and the fault must not be cached.
+    // First run: the last scenario faults, and the fault is not cached.
     let first = run_sweep_with(&scenarios, &opts, &|p, t, o| {
         if overrun_sweep::certification_key(p, t, o) == bad {
             return Err(overrun_control::Error::Design("transient".into()));
@@ -275,9 +281,7 @@ fn erroring_shards_are_not_checkpointed_and_retry_on_rerun() {
     })
     .expect("first run");
     assert_eq!(first.stats.errors, 1);
-    let ckpt = std::fs::read_to_string(dir.join("checkpoint.sweep")).expect("checkpoint");
-    assert!(ckpt.contains("shard 0 ok"));
-    assert!(!ckpt.contains("shard 1 ok"));
+    assert_eq!(first.stats.computed, 4);
     assert!(!dir.join(format!("{}.record", bad.to_hex())).exists());
 
     // Rerun with a healthy runner: the faulted scenario is recomputed,
@@ -287,26 +291,6 @@ fn erroring_shards_are_not_checkpointed_and_retry_on_rerun() {
     assert_eq!(second.stats.errors, 0);
     assert_eq!(second.stats.cache_hits, 3);
     assert_eq!(second.stats.computed, 1);
-    let ckpt = std::fs::read_to_string(dir.join("checkpoint.sweep")).expect("checkpoint");
-    assert!(ckpt.contains("shard 1 ok"));
+    assert!(dir.join(format!("{}.record", bad.to_hex())).exists());
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn lookup_answers_real_certifications_bit_identically() {
-    // Real certifier on one small scenario: the CertLookup bridge must
-    // reproduce `stability::certify` exactly.
-    let scenarios = grid(1);
-    let report = overrun_sweep::run_sweep(&scenarios, &SweepOptions::default()).expect("sweep");
-    let lookup = report.lookup();
-    assert_eq!(lookup.len(), 1);
-    let s = &scenarios[0];
-    let direct = stability::certify(&s.plant, &s.table, &s.opts).expect("direct certify");
-    let via = lookup
-        .report_for(&s.plant, &s.table, &s.opts)
-        .expect("lookup hit");
-    assert_eq!(via.verdict, direct.verdict);
-    assert_eq!(via.bounds.lower.to_bits(), direct.bounds.lower.to_bits());
-    assert_eq!(via.bounds.upper.to_bits(), direct.bounds.upper.to_bits());
-    assert_eq!(via.screen, direct.screen);
 }

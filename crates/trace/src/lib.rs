@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 
 mod clock;
-mod counter;
 mod event;
 mod json;
 mod report;
@@ -51,7 +50,6 @@ mod sink;
 #[cfg(feature = "trace")]
 pub use clock::MonotonicClock;
 pub use clock::{Clock, NoopClock};
-pub use counter::CounterBundle;
 pub use event::{Event, Hist, Name, HIST_BUCKETS};
 pub use report::{SpanBalance, SpanNode, Trace};
 pub use sink::{finish, flush_thread, install, is_active, SpanGuard};

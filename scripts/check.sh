@@ -46,21 +46,29 @@ cargo run --release -q -p overrun-bench --features trace --bin table2 -- \
   --sequences 10 --jobs 10 --out bench_results --trace >/dev/null
 test -s bench_results/table2.trace.jsonl
 
-echo "==> sweep engine: record/checkpoint round-trip, fault isolation, kill/resume oracle"
+echo "==> sweep engine: record round-trip, fault isolation, kill/rerun oracle"
 cargo test --release -q -p overrun-sweep
 
-echo "==> sweep CLI cache round-trip (ts_tradeoff, reduced): warm run is 100% hits, CSV data identical"
+echo "==> sweep CLI cache round-trip (ts_tradeoff, reduced): warm run is 100% hits, a rerun after deleting records recomputes only those, CSV data identical"
 rm -rf bench_results/sweep_cache
-cargo run --release -q -p overrun-bench --bin ts_tradeoff -- \
-  --sequences 20 --jobs 10 --out bench_results --cache bench_results/sweep_cache >/dev/null
+ts_cached() {
+  cargo run --release -q -p overrun-bench --bin ts_tradeoff -- \
+    --sequences 20 --jobs 10 --out bench_results --cache bench_results/sweep_cache
+}
+ts_cached >/dev/null
 cp bench_results/ts_tradeoff.csv bench_results/ts_tradeoff.cold.csv
-cargo run --release -q -p overrun-bench --bin ts_tradeoff -- \
-  --sequences 20 --jobs 10 --out bench_results --cache bench_results/sweep_cache --resume \
-  > bench_results/ts_tradeoff.warm.out
+ts_cached > bench_results/ts_tradeoff.warm.out
 grep -q "sweep cache: 5 hits / 0 misses" bench_results/ts_tradeoff.warm.out
 diff <(grep -v '^#' bench_results/ts_tradeoff.cold.csv) \
      <(grep -v '^#' bench_results/ts_tradeoff.csv)
-rm -f bench_results/ts_tradeoff.cold.csv bench_results/ts_tradeoff.warm.out
+# A kill loses the records not yet stored: delete two, rerun.
+find bench_results/sweep_cache -name '*.record' | sort | head -n 2 | xargs rm -f
+ts_cached > bench_results/ts_tradeoff.rerun.out
+grep -q "sweep cache: 3 hits / 2 misses" bench_results/ts_tradeoff.rerun.out
+diff <(grep -v '^#' bench_results/ts_tradeoff.cold.csv) \
+     <(grep -v '^#' bench_results/ts_tradeoff.csv)
+rm -f bench_results/ts_tradeoff.cold.csv bench_results/ts_tradeoff.warm.out \
+  bench_results/ts_tradeoff.rerun.out
 
 echo "==> golden CSV data sections (refresh with UPDATE_GOLDEN=1 after intentional changes)"
 cargo test --release -q -p overrun-bench --test golden_csv

@@ -14,8 +14,8 @@
 
 use std::path::PathBuf;
 
-use overrun_control::plants;
-use overrun_control::scenarios::{pmsm_table2_weights, table1, table2, ExperimentConfig};
+use overrun_control::scenarios::{pmsm_table2_weights, table1, table2_with, ExperimentConfig};
+use overrun_control::{plants, stability};
 use overrun_linalg::Matrix;
 use overrun_rtsim::{trace_to_csv, OverrunPolicy, Span};
 
@@ -92,7 +92,8 @@ fn table1_csv_matches_golden() {
 fn table2_csv_matches_golden() {
     let plant = plants::pmsm();
     let x0 = Matrix::col_vec(&[1.0, 1.0, 1.0]);
-    let rows = table2(&plant, 50e-6, &pmsm_table2_weights(), &x0, &quick_config())
+    let weights = pmsm_table2_weights();
+    let rows = table2_with(&plant, 50e-6, &weights, &x0, &quick_config(), &stability::certify)
         .expect("table2");
     let mut csv = String::from(
         "rmax_factor,ns,jsr_lb,jsr_ub,cost_no_overruns,cost_adaptive,cost_fixed_t,cost_fixed_rmax,cost_fixed_period_rmax\n",

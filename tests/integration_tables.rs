@@ -2,9 +2,7 @@
 //! asserting the qualitative shapes the paper reports.
 
 use overrun_control::prelude::*;
-use overrun_control::scenarios::{
-    pmsm_table2_weights, table1, table2, ExperimentConfig,
-};
+use overrun_control::scenarios::{pmsm_table2_weights, table1, table2_with, ExperimentConfig};
 use overrun_linalg::Matrix;
 
 fn small_config() -> ExperimentConfig {
@@ -68,7 +66,15 @@ fn table1_finer_ts_helps() {
 fn table2_shape() {
     let plant = plants::pmsm();
     let x0 = Matrix::col_vec(&[1.0, 1.0, 1.0]);
-    let rows = table2(&plant, 50e-6, &pmsm_table2_weights(), &x0, &small_config()).unwrap();
+    let rows = table2_with(
+        &plant,
+        50e-6,
+        &pmsm_table2_weights(),
+        &x0,
+        &small_config(),
+        &stability::certify,
+    )
+    .unwrap();
     assert_eq!(rows.len(), 6);
 
     for r in &rows {
