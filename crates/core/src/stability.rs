@@ -8,6 +8,15 @@ use overrun_jsr::{
 
 use crate::{lifted, ContinuousSs, ControllerTable, Result};
 
+/// Revision of the numbers [`certify`] computes for given inputs.
+///
+/// Result caches key on it (`overrun_sweep::certification_key`), so it must
+/// change whenever `certify`'s bounds can change for the same plant, table
+/// and options — a new ellipsoid search, a different pruning rule, a
+/// different lift schedule. Revision 1 searched the ellipsoid with
+/// Nelder–Mead; revision 2 uses the singular-vector descent.
+pub const CERTIFIER_REVISION: u64 = 2;
+
 /// Options for [`certify`].
 #[derive(Debug, Clone)]
 pub struct CertifyOptions {

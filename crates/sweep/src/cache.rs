@@ -44,11 +44,6 @@ impl ResultCache {
         })
     }
 
-    /// The directory this cache lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Path of the record file for `key`.
     pub fn record_path(&self, key: ContentHash) -> PathBuf {
         self.dir.join(format!("{}.record", key.to_hex()))

@@ -12,8 +12,9 @@
 //!   deterministically.
 //! - **Content-addressed memoization** ([`ResultCache`]): each scenario is
 //!   keyed by a hand-rolled FNV-128 hash over the *materialized* inputs —
-//!   plant matrices, controller table, certification budget, crate
-//!   version — with every `f64` hashed by exact bit pattern
+//!   plant matrices, controller table, certification budget, certifier
+//!   revision (`stability::CERTIFIER_REVISION`) — with every `f64` hashed
+//!   by exact bit pattern
 //!   ([`certification_key`]). Records round-trip byte-exactly
 //!   ([`ScenarioRecord`]), in the same human-readable-but-exact style as
 //!   the trace JSONL.

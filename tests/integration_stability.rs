@@ -121,3 +121,21 @@ fn deployment_subset_rule_end_to_end() {
     assert!(smaller.is_subset_of(&designed));
     assert!(!bigger.is_subset_of(&designed));
 }
+
+/// The one-step ellipsoid bound alone certifies the Table II (1.1T, T/2)
+/// adaptive LQR design: the descent finds a common quadratic Lyapunov
+/// function on the preconditioned lifted set (a simplex search over the
+/// entries of `L` stalls at about 1.2 there).
+#[test]
+fn ellipsoid_alone_certifies_table2_adaptive_lqr() -> Result<(), Box<dyn std::error::Error>> {
+    let plant = plants::pmsm();
+    let t = 50e-6;
+    let hset = IntervalSet::from_timing(t, 1.1 * t, 2)?;
+    let table = lqr::design_adaptive(&plant, &hset, &scenarios::pmsm_table2_weights())?;
+    let measurement = overrun_control::lifted::measurement_matrix(&plant, &table)?;
+    let omegas = overrun_control::lifted::build_omega_set(&plant, &table, &measurement)?;
+    let (set, _) = overrun_jsr::precondition(&overrun_jsr::MatrixSet::new(omegas)?)?;
+    let e = overrun_jsr::optimize_ellipsoid(&set, &Default::default())?;
+    assert!(e.norm_bound < 1.0, "one-step ellipsoid bound {}", e.norm_bound);
+    Ok(())
+}
