@@ -1,8 +1,8 @@
 //! Property-based tests for the JSR machinery.
 
 use overrun_jsr::{
-    bruteforce_bounds, gripenberg, kronecker_sum_bounds, optimize_ellipsoid,
-    BruteforceOptions, GripenbergOptions, MatrixSet,
+    bruteforce_bounds, gripenberg, kronecker_sum_bounds, optimize_ellipsoid, BruteforceOptions,
+    GripenbergOptions, MatrixSet,
 };
 use overrun_linalg::{spectral_radius, Matrix};
 use proptest::prelude::*;

@@ -110,10 +110,7 @@ impl Cholesky {
     /// Log-determinant of `A` (`2 Σ log L_ii`), numerically safer than
     /// computing `det` for large well-conditioned SPD matrices.
     pub fn log_det(&self) -> f64 {
-        (0..self.l.rows())
-            .map(|i| self.l[(i, i)].ln())
-            .sum::<f64>()
-            * 2.0
+        (0..self.l.rows()).map(|i| self.l[(i, i)].ln()).sum::<f64>() * 2.0
     }
 }
 
@@ -142,10 +139,7 @@ mod tests {
     #[test]
     fn rejects_indefinite() {
         let a = Matrix::from_rows(&[&[1.0, 2.0], &[2.0, 1.0]]).unwrap();
-        assert!(matches!(
-            Cholesky::new(&a),
-            Err(Error::NotPositiveDefinite)
-        ));
+        assert!(matches!(Cholesky::new(&a), Err(Error::NotPositiveDefinite)));
     }
 
     #[test]

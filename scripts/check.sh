@@ -10,6 +10,9 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo fmt --check (overrun-jsr, overrun-linalg)"
+cargo fmt -p overrun-jsr -p overrun-linalg --check
+
 echo "==> overrun-lint --deny (determinism / panic ratchet / unsafe / hot-path)"
 cargo run --release -q -p overrun-lint -- --deny
 
